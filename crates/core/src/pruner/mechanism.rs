@@ -142,8 +142,15 @@ impl Pruner for PruningMechanism {
         // Raising β prunes more: every chance ≤ β − γₖ comparison
         // catches more tasks. Clamp to the same (0, 1] range
         // `with_threshold` enforces, and keep the fairness clamp
-        // consistent with it (sufferage never exempts past β).
-        let t = (self.cfg.threshold * factor).clamp(0.0, 1.0);
+        // consistent with it (sufferage never exempts past β). A NaN
+        // product (a NaN factor, or β = 0 times an infinite one) would
+        // pass through `clamp` and switch pruning off for good, since
+        // no chance compares ≤ NaN: leave β unchanged instead.
+        let t = self.cfg.threshold * factor;
+        if t.is_nan() {
+            return;
+        }
+        let t = t.clamp(0.0, 1.0);
         self.cfg.threshold = t;
         self.cfg.fairness.max_score = self.cfg.fairness.max_score.min(t);
     }
@@ -233,6 +240,25 @@ mod tests {
         assert!(p.should_defer(&task(0, 1_000), 0.49));
         assert!(p.should_defer(&task(1, 1_000), 0.50));
         assert!(!p.should_defer(&task(2, 1_000), 0.51));
+    }
+
+    #[test]
+    fn nan_tightening_leaves_the_threshold_unchanged() {
+        let mut p = PruningMechanism::new(PruningConfig::paper_default(), 1);
+        p.tighten_threshold(f64::NAN);
+        assert_eq!(p.cfg.threshold, 0.5);
+        assert!(p.should_defer(&task(0, 1_000), 0.49));
+        // β = 0 times an infinite factor is NaN as well.
+        let mut p = PruningMechanism::new(PruningConfig::defer_only(0.0), 1);
+        p.tighten_threshold(f64::INFINITY);
+        assert_eq!(p.cfg.threshold, 0.0);
+        assert!(p.should_defer(&task(1, 1_000), 0.0));
+        // A finite product still tightens, clamped to 1.
+        let mut p = PruningMechanism::new(PruningConfig::paper_default(), 1);
+        p.tighten_threshold(1.5);
+        assert_eq!(p.cfg.threshold, 0.75);
+        p.tighten_threshold(f64::INFINITY);
+        assert_eq!(p.cfg.threshold, 1.0);
     }
 
     #[test]

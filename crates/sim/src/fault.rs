@@ -140,7 +140,7 @@ impl FaultSpec {
 
     /// A bit of everything: one crash plus two of each delivery fault
     /// and one transient failure of each infrastructure op — the
-    /// default "storm" the fault-matrix CI job and the benchmark use.
+    /// default "storm" the CI thread-matrix job and the benchmark use.
     pub fn storm(shards: usize, span: u64) -> Self {
         Self {
             crashes: 1,

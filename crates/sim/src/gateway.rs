@@ -303,12 +303,6 @@ impl<'a, S: Sink> Gateway<'a, S> {
         &mut self.shards
     }
 
-    /// Whether the routing policy declared itself state-independent
-    /// (see [`RoutePolicy::is_stateless`]).
-    pub(crate) fn policy_is_stateless(&self) -> bool {
-        self.policy.is_stateless()
-    }
-
     /// Whether a supervisor has quarantined `shard` (degraded mode:
     /// the shard accepts no new work and its in-flight events are
     /// discarded).
@@ -378,6 +372,18 @@ impl<'a, S: Sink> Gateway<'a, S> {
     /// their PR 5 schedules untouched.
     pub(crate) fn sync_enabled(&self) -> bool {
         self.stealing() || self.uses_stale_views()
+    }
+
+    /// Whether a driver must bring every shard current before routing
+    /// the **next** admitted arrival: at a sync ordinal, or whenever a
+    /// stateful policy routes on live views across more than one
+    /// shard. [`Gateway::sync_point`] is a no-op at a barrier that is
+    /// not a sync ordinal (no stealing, no stale views).
+    pub(crate) fn barrier_due(&self) -> bool {
+        self.sync_due()
+            || (self.consistency == Consistency::Lockstep
+                && !self.policy.is_stateless()
+                && self.shards.len() > 1)
     }
 
     /// Runs one sync point: the steal pass (when stealing is enabled)

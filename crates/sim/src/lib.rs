@@ -46,8 +46,10 @@
 //!   shard is bit-identical to [`Engine`].
 //! * [`ParallelFederatedEngine`] — the same federation driven with one
 //!   worker per shard on a work-stealing pool, routing serialized on
-//!   the coordinator. Bit-identical to [`FederatedEngine`] at every
-//!   thread count; parallelism is purely a wall-clock change.
+//!   the coordinator in one ingest loop that opens a cross-shard
+//!   barrier only when the next routing decision must see current
+//!   shards. Bit-identical to [`FederatedEngine`] at every thread
+//!   count; parallelism is purely a wall-clock change.
 //! * [`Snapshot`] / [`ShardJournal`] — the elasticity layer: versioned,
 //!   hash-sealed state capture for cores, queues and whole gateways,
 //!   plus per-shard replayable operation logs. Together they give

@@ -21,37 +21,44 @@
 //!   coordinator merges results in fixed shard order after every lane
 //!   has drained.
 //!
-//! # Three schedules, one ordering
+//! # One ingest loop, one barrier rule
 //!
-//! With a policy that declares [`crate::RoutePolicy::is_stateless`]
-//! (round-robin), routing needs no shard state at all: the coordinator
-//! routes the *entire* stream into per-shard mailboxes up front, and
-//! every lane then replays its private merge of mailbox arrivals and
-//! heap events from start to finish with **zero cross-shard barriers**
-//! — embarrassingly parallel wall-clock scaling.
+//! The coordinator admits each arrival and routes it into its lane's
+//! mailbox. Lanes deliver their mail on their own — at the next
+//! barrier, or in the finale — except that the routing decision for an
+//! arrival sometimes needs every shard *current*: all events before
+//! `tᵢ` (and completions at `tᵢ`) applied, exactly as the serial driver
+//! would hold them. The gateway knows when
+//! (`Gateway::barrier_due`), and the loop then opens a **barrier**
+//! first: every lane with work delivers its mailbox and catches up to
+//! the arrival's instant, after which the coordinator runs the sync
+//! point (steal pass, view-table refresh). Which arrivals are barriers
+//! follows from the routing configuration alone:
 //!
-//! With a state-dependent policy (least-queued, best-chance), routing
-//! arrival *i* must observe every shard exactly as the serial driver
-//! would have: all events before `tᵢ` (and completions at `tᵢ`)
-//! applied. The driver runs in **lockstep epochs**: before each
-//! arrival, all lanes advance in parallel up to that arrival's
-//! watermark, then the coordinator routes on fresh views and runs the
-//! routed shard's mapping event. The arrival chain is inherently
-//! serial under such a policy (each routing decision depends on the
-//! previous arrival's mapping), so only the completion processing
-//! between arrivals parallelises — which is exactly the available
-//! parallelism, no more.
+//! * a policy that declares [`crate::RoutePolicy::is_stateless`]
+//!   (round-robin), or a one-shard federation, never needs one: the
+//!   whole stream lands in mailboxes and every lane replays its
+//!   private merge of mail and heap events from start to finish with
+//!   **zero cross-shard barriers** — embarrassingly parallel;
+//! * [`crate::Consistency::BoundedStale`]`{k}` and federation stealing
+//!   need one at every *sync ordinal*, each `k + 1` arrivals, where
+//!   the steal pass rebalances batch-queue tails and the stale view
+//!   table is republished — the serial driver runs the identical sync
+//!   schedule at the identical ordinals
+//!   (`tests/relaxed_equivalence.rs`);
+//! * a stateful policy (least-queued, best-chance) under
+//!   [`crate::Consistency::Lockstep`] routes on live views, so every
+//!   arrival is a barrier. The arrival chain is then serial by data
+//!   dependency (each routing decision observes the previous arrival's
+//!   mapping), and only the completion processing between arrivals
+//!   parallelises — which is exactly the available parallelism.
 //!
-//! [`crate::Consistency::BoundedStale`] (and federation stealing)
-//! unlocks a third, **relaxed** schedule between those two: stateful
-//! policies route on the gateway's epoch-stamped stale view table, so
-//! arrivals flow into mailboxes barrier-free like the stateless
-//! schedule, and the lanes only synchronise at the *sync points* every
-//! `k + 1` arrivals — where all mailboxes drain, the steal pass
-//! rebalances batch-queue tails, and the view table is republished.
-//! The serial driver runs the identical sync schedule at the identical
-//! arrival ordinals, so the relaxed runs are still byte-identical at
-//! every thread count (`tests/relaxed_equivalence.rs`).
+//! Two rules keep barriers cheap. An arrival routed into an empty
+//! mailbox right before a barrier is delivered on the coordinator at
+//! once, since the barrier would deliver it first thing anyway; and a
+//! barrier with at most one busy lane opens no pool scope. Under live
+//! views that makes each arrival one inline mapping event plus, when
+//! several lanes have completions due, one scope over just those lanes.
 //!
 //! # Bit-identity argument (the headline guarantee)
 //!
@@ -90,7 +97,7 @@ use crate::reuse::Admit;
 use crate::sink::{NullSink, Sink};
 use crate::snapshot::Snapshot;
 use crate::supervisor::{
-    backoff_at, RecoveryActionKind, RecoveryLog, RecoveryPolicy,
+    RecoveryActionKind, RecoveryLog, RecoveryPolicy, ShardRecovery,
 };
 use crate::SchedulerCore;
 use std::collections::VecDeque;
@@ -114,11 +121,13 @@ struct Mail {
 
 /// The lane-local half of the self-healing supervisor (see
 /// [`crate::ParallelSupervisor`]): each lane carries its own journal,
-/// checkpoint, retry budget, fault schedule and recovery log, so every
-/// fault is detected and healed *on the worker thread that owns the
-/// shard* — no cross-lane coordination, no barriers, no locks.
+/// checkpoint, fault schedule, recovery log and [`ShardRecovery`] (the
+/// retry budget and recovery steps the serial [`crate::Supervisor`]
+/// uses per shard), so every fault is detected and healed by whichever
+/// thread delivers the lane's work — no locks, and no coordination
+/// beyond the ingest loop's barriers.
 ///
-/// Semantics mirror the serial [`crate::Supervisor`] per shard:
+/// Semantics mirror the serial supervisor per shard:
 ///
 /// * completions are journaled before the fault consult, so a lost or
 ///   delayed delivery can be redelivered from the durable record at
@@ -133,11 +142,12 @@ struct Mail {
 ///   still pending surfaces as `Unfinished` at the drain.
 ///
 /// The one structural difference from the serial supervisor: there is
-/// no cross-shard backlog re-route (lanes cannot reach each other
-/// mid-run) and no watermark health checks (lanes never pause); the
-/// coordinator remaps *future* arrivals around a quarantined lane on
-/// the lockstep path, and auto-checkpoints run on a per-lane arrival
-/// cadence instead of a global watermark.
+/// no cross-shard backlog re-route (other lanes may be mid-slice when
+/// one crashes) and no watermark health checks (lanes never pause);
+/// the coordinator remaps *future* arrivals around a quarantined lane
+/// once a barrier or an ingest pause publishes the fail-stop, and
+/// auto-checkpoints run on a per-lane arrival cadence instead of a
+/// global watermark.
 struct LaneGuard {
     policy: RecoveryPolicy,
     shard: usize,
@@ -147,13 +157,43 @@ struct LaneGuard {
     journal: ShardJournal,
     /// This shard's slice of the armed [`FaultPlan`].
     faults: Vec<FaultEvent>,
-    retries_left: u32,
+    recovery: ShardRecovery,
     arrivals_seen: u64,
     completions_seen: u64,
     checkpoints_seen: u64,
     recoveries_seen: u64,
     quarantined: bool,
     log: RecoveryLog,
+}
+
+/// The armed fault striking the `nth` operation at `site`, if any.
+fn fault_at(
+    faults: &[FaultEvent],
+    site: FaultSite,
+    nth: u64,
+) -> Option<FaultKind> {
+    faults
+        .iter()
+        .find(|e| e.kind.site() == site && e.nth == nth)
+        .map(|e| e.kind)
+}
+
+/// Checkpoint restore + journal replay + clock re-advance. Returns
+/// whether the core was rebuilt.
+fn restore<S: Sink>(
+    checkpoint: &Snapshot,
+    journal: &ShardJournal,
+    core: &mut SchedulerCore<'_, S>,
+    now: SimTime,
+) -> bool {
+    if core.restore(checkpoint).is_err() {
+        return false;
+    }
+    journal.replay(core);
+    if now > core.now() {
+        core.advance_to(now);
+    }
+    true
 }
 
 impl LaneGuard {
@@ -164,7 +204,7 @@ impl LaneGuard {
             checkpoint,
             journal: ShardJournal::new(),
             faults: Vec::new(),
-            retries_left: policy.retry_budget,
+            recovery: ShardRecovery::new(shard, &policy),
             arrivals_seen: 0,
             completions_seen: 0,
             checkpoints_seen: 0,
@@ -172,14 +212,6 @@ impl LaneGuard {
             quarantined: false,
             log: RecoveryLog::default(),
         }
-    }
-
-    /// The armed fault striking the `nth` operation at `site`, if any.
-    fn fault_at(&self, site: FaultSite, nth: u64) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|e| e.kind.site() == site && e.nth == nth)
-            .map(|e| e.kind)
     }
 
     /// Journals one completion delivery and consults the fault
@@ -199,7 +231,11 @@ impl LaneGuard {
         self.journal
             .record(time, JournalOp::Completion { machine, task });
         self.completions_seen += 1;
-        match self.fault_at(FaultSite::Completion, self.completions_seen) {
+        match fault_at(
+            &self.faults,
+            FaultSite::Completion,
+            self.completions_seen,
+        ) {
             Some(
                 kind @ (FaultKind::LostCompletion
                 | FaultKind::DelayedCompletion),
@@ -209,26 +245,7 @@ impl LaneGuard {
                     self.shard,
                     RecoveryActionKind::FaultDetected { fault: kind },
                 );
-                if self.retries_left == 0 {
-                    return false; // stays lost: budget exhausted
-                }
-                self.retries_left -= 1;
-                let backoff = backoff_at(self.policy.backoff_base, 1);
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::RetryScheduled {
-                        attempt: 1,
-                        backoff,
-                        at: SimTime(time.ticks().saturating_add(backoff)),
-                    },
-                );
-                self.log.push(
-                    time,
-                    self.shard,
-                    RecoveryActionKind::Redelivered,
-                );
-                true // redelivered from the journal record, same instant
+                self.recovery.redeliver(&mut self.log, time)
             }
             Some(FaultKind::DuplicateCompletion) => {
                 // The duplicated copy is rejected by the staleness
@@ -245,38 +262,24 @@ impl LaneGuard {
         }
     }
 
-    /// Journals one routed arrival; returns whether the shard crashes
-    /// right after its mapping round commits.
-    fn on_arrival(&mut self, time: SimTime, task: Task) -> bool {
-        self.journal.record(time, JournalOp::Arrival(task));
-        self.arrivals_seen += 1;
-        self.fault_at(FaultSite::Arrival, self.arrivals_seen)
-            .is_some()
-    }
-
-    /// Journals one absorbed arrival (reuse piggyback); returns whether
-    /// the shard crashes right after the absorption commits. Counts
-    /// against the same arrival-site fault coordinates as a routed
-    /// arrival — the serial driver consults its injector once per
-    /// delivered arrival either way.
-    fn on_piggyback(
-        &mut self,
-        time: SimTime,
-        primary: TaskId,
-        task: Task,
-        merged: bool,
-    ) -> bool {
-        self.journal.record(
-            time,
-            JournalOp::Piggyback {
+    /// Journals one delivered arrival — routed, or absorbed onto a
+    /// primary by the reuse gate — and returns whether the shard
+    /// crashes right after the delivery commits. Both kinds count
+    /// against the same arrival-site fault coordinates: the serial
+    /// driver consults its injector once per delivered arrival either
+    /// way.
+    fn on_arrival(&mut self, mail: &Mail) -> bool {
+        let op = match mail.reuse {
+            Some((primary, merged)) => JournalOp::Piggyback {
                 primary,
-                task,
+                task: mail.task,
                 merged,
             },
-        );
+            None => JournalOp::Arrival(mail.task),
+        };
+        self.journal.record(mail.target, op);
         self.arrivals_seen += 1;
-        self.fault_at(FaultSite::Arrival, self.arrivals_seen)
-            .is_some()
+        fault_at(&self.faults, FaultSite::Arrival, self.arrivals_seen).is_some()
     }
 
     /// The crash path: wipe, then bounded retries of checkpoint +
@@ -295,55 +298,34 @@ impl LaneGuard {
             },
         );
         core.wipe();
-        let mut attempt = 0u32;
-        while self.retries_left > 0 {
-            attempt += 1;
-            self.retries_left -= 1;
-            let backoff = backoff_at(self.policy.backoff_base, attempt);
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::RetryScheduled {
-                    attempt,
-                    backoff,
-                    at: SimTime(now.ticks().saturating_add(backoff)),
-                },
-            );
-            self.recoveries_seen += 1;
-            if self
-                .fault_at(FaultSite::Recovery, self.recoveries_seen)
-                .is_some()
+        let Self {
+            checkpoint,
+            journal,
+            faults,
+            recovery,
+            recoveries_seen,
+            log,
+            ..
+        } = self;
+        let recovered = recovery.restore(log, now, || {
+            *recoveries_seen += 1;
+            if fault_at(faults, FaultSite::Recovery, *recoveries_seen).is_some()
             {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::RecoveryFailed { attempt },
-                );
-                continue;
+                return None;
             }
-            if self.restore(core, now) {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::RecoveryReplayed {
-                        journal_ops: self.journal.len() as u64,
-                    },
-                );
-                return;
-            }
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::RecoveryFailed { attempt },
-            );
+            restore(checkpoint, journal, core, now)
+                .then(|| journal.len() as u64)
+        });
+        if recovered {
+            return;
         }
         // Budget exhausted: the shard stays down. Rebuild its state
         // once from durable storage — not to revive it, but so the
         // history up to the crash (completed tasks, outcome records)
         // survives into the final stats — then fail-stop. No backlog
-        // re-route: lanes cannot reach each other mid-run, so the
+        // re-route: the other lanes may be mid-slice, so the
         // still-queued work lands as `Unfinished` instead.
-        let _ = self.restore(core, now);
+        let _ = restore(&self.checkpoint, &self.journal, core, now);
         self.quarantined = true;
         self.log.push(
             now,
@@ -352,63 +334,34 @@ impl LaneGuard {
         );
     }
 
-    /// Checkpoint restore + journal replay + clock re-advance. Returns
-    /// whether the core was rebuilt.
-    fn restore<S: Sink>(
-        &self,
-        core: &mut SchedulerCore<'_, S>,
-        now: SimTime,
-    ) -> bool {
-        if core.restore(&self.checkpoint).is_err() {
-            return false;
-        }
-        self.journal.replay(core);
-        if now > core.now() {
-            core.advance_to(now);
-        }
-        true
-    }
-
-    /// Auto-checkpoint on the per-lane arrival cadence, retrying
-    /// transient storage faults within the budget. Skipping on
-    /// exhaustion is safe: the journal keeps growing, so recovery
-    /// stays possible from the previous checkpoint.
+    /// Auto-checkpoint on the per-lane arrival cadence (see
+    /// [`ShardRecovery::checkpoint`] for the retries).
     fn maybe_checkpoint<S: Sink>(&mut self, core: &SchedulerCore<'_, S>) {
         let interval = self.policy.checkpoint_interval.max(1);
         if !self.arrivals_seen.is_multiple_of(interval) {
             return;
         }
-        let now = core.now();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            self.checkpoints_seen += 1;
-            if self
-                .fault_at(FaultSite::Checkpoint, self.checkpoints_seen)
+        let Self {
+            checkpoint,
+            journal,
+            faults,
+            recovery,
+            checkpoints_seen,
+            arrivals_seen,
+            log,
+            ..
+        } = self;
+        recovery.checkpoint(log, core.now(), *arrivals_seen, || {
+            *checkpoints_seen += 1;
+            if fault_at(faults, FaultSite::Checkpoint, *checkpoints_seen)
                 .is_some()
             {
-                self.log.push(
-                    now,
-                    self.shard,
-                    RecoveryActionKind::CheckpointFailed { attempt },
-                );
-                if self.retries_left > 0 {
-                    self.retries_left -= 1;
-                    continue;
-                }
-                return;
+                return false;
             }
-            self.checkpoint = core.snapshot();
-            self.journal.clear();
-            self.log.push(
-                now,
-                self.shard,
-                RecoveryActionKind::CheckpointTaken {
-                    watermark: self.arrivals_seen,
-                },
-            );
-            return;
-        }
+            *checkpoint = core.snapshot();
+            journal.clear();
+            true
+        });
     }
 }
 
@@ -426,7 +379,8 @@ struct ShardLane {
     /// again" condition.
     pending: usize,
     wakeup_pending: bool,
-    /// Routed arrivals awaiting delivery (stateless-policy schedule).
+    /// Routed arrivals awaiting delivery at the next barrier or the
+    /// finale.
     mailbox: VecDeque<Mail>,
     /// Lane-local supervision, when the engine is wrapped in a
     /// [`crate::ParallelSupervisor`]. `None` costs nothing on the
@@ -557,34 +511,22 @@ impl ShardLane {
         mail: Mail,
     ) {
         self.advance_events(core, truth, mail.task.arrival, mail.target);
-        if self.is_quarantined() {
-            // Fail-stopped shard: record the arrival so its outcome is
-            // accounted (`Unfinished` at the drain — no machine will
-            // ever start it), but dispatch nothing.
-            match mail.reuse {
-                Some((primary, merged)) => {
-                    core.apply_piggyback(primary, mail.task, merged);
-                }
-                None => core.push_arrival(mail.task),
-            }
-            let _ = core.drain_starts();
-            core.drain_decisions();
-            return;
-        }
-        let crashed = match self.guard.as_mut() {
-            Some(g) => match mail.reuse {
-                Some((primary, merged)) => {
-                    g.on_piggyback(mail.target, primary, mail.task, merged)
-                }
-                None => g.on_arrival(mail.target, mail.task),
-            },
-            None => false,
-        };
+        let quarantined = self.is_quarantined();
+        let crashed = !quarantined
+            && self.guard.as_mut().is_some_and(|g| g.on_arrival(&mail));
         match mail.reuse {
             Some((primary, merged)) => {
                 core.apply_piggyback(primary, mail.task, merged);
             }
             None => core.push_arrival(mail.task),
+        }
+        if quarantined {
+            // Fail-stopped shard: the arrival is recorded so its outcome
+            // is accounted (`Unfinished` at the drain — no machine will
+            // ever start it), but nothing is dispatched.
+            let _ = core.drain_starts();
+            core.drain_decisions();
+            return;
         }
         self.dispatch_starts(core, truth);
         core.drain_decisions();
@@ -679,18 +621,26 @@ impl ShardLane {
         }
     }
 
-    /// The whole-shard schedule of the stateless-routing path: replay
-    /// the private mailbox/heap merge from start to finish, then
-    /// drain. Runs as one pool job — no barriers.
+    fn deliver_mailbox<S: Sink>(
+        &mut self,
+        core: &mut SchedulerCore<'_, S>,
+        truth: &PetMatrix,
+    ) {
+        while let Some(mail) = self.mailbox.pop_front() {
+            self.deliver(core, truth, mail);
+        }
+    }
+
+    /// The lane's finale: deliver whatever the mailbox still holds,
+    /// then drain. For a run with no barriers this is the lane's whole
+    /// simulation, replayed from start to finish as one pool job.
     fn run_shard<S: Sink>(
         &mut self,
         core: &mut SchedulerCore<'_, S>,
         truth: &PetMatrix,
         t_last: Option<SimTime>,
     ) {
-        while let Some(mail) = self.mailbox.pop_front() {
-            self.deliver(core, truth, mail);
-        }
+        self.deliver_mailbox(core, truth);
         let Some(t_last) = t_last else {
             return; // no arrivals anywhere: nothing can have happened
         };
@@ -790,16 +740,17 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         I: IntoIterator<Item = Task>,
     {
         self.ingest(arrivals);
-        if self.stateless_schedule() || self.gateway.sync_enabled() {
-            // The mailbox schedules (stateless and relaxed) normally
-            // defer shard work to the finale or the next sync point;
-            // deliver the routed prefix now so the pause point observes
-            // shards advanced to the watermark. The per-shard operation
-            // sequence is exactly the one `run_shard` (or the next
-            // barrier) would have replayed, so a later `finish_stream`
-            // stays bit-identical.
-            self.deliver_mailboxes();
-        }
+        // Mailboxes normally wait for the next barrier or the finale;
+        // deliver the routed prefix now so the pause point observes
+        // shards advanced to the watermark. The per-shard operation
+        // sequence is exactly the one `run_shard` (or the next barrier)
+        // would have replayed, so a later `finish_stream` stays
+        // bit-identical.
+        self.run_lanes(
+            |lane| !lane.mailbox.is_empty(),
+            |lane, core, truth| lane.deliver_mailbox(core, truth),
+        );
+        self.sync_quarantine_flags();
     }
 
     /// Ingests the remaining arrivals and runs the federation to
@@ -813,19 +764,13 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
     {
         self.ingest(arrivals);
         let t_last = self.watermark;
-        // Parallel finale: every lane runs/drains independently. On
-        // the stateless path this is the *entire* remaining simulation;
-        // on the lockstep path only the post-arrival drain remains.
-        {
-            let truth = self.truth;
-            let lanes = &mut self.lanes;
-            let shards = self.gateway.shards_mut();
-            self.pool.scope(|s| {
-                for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                    s.spawn(move || lane.run_shard(core, truth, t_last));
-                }
-            });
-        }
+        // Parallel finale: every lane runs/drains independently —
+        // everything since its last barrier, then the post-arrival
+        // drain.
+        self.run_lanes(
+            |_| true,
+            |lane, core, truth| lane.run_shard(core, truth, t_last),
+        );
         self.sync_quarantine_flags();
         self.finish()
     }
@@ -951,127 +896,37 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         }
     }
 
-    /// Publishes lane fail-stops into the gateway's routing layer so
-    /// subsequent ingests remap new arrivals around dead shards.
+    /// Publishes new lane fail-stops into the gateway's routing layer,
+    /// so later arrivals route around dead shards. Each shard is
+    /// published once, as the serial driver does: publishing evicts the
+    /// shard's reuse-gate entries, a scan a per-arrival barrier must
+    /// not repeat.
     fn sync_quarantine_flags(&mut self) {
         for i in 0..self.lanes.len() {
-            if self.lanes[i].is_quarantined() {
+            if self.lanes[i].is_quarantined() && !self.gateway.is_quarantined(i)
+            {
                 self.gateway.set_quarantined(i);
             }
         }
     }
 
-    /// Whether the zero-barrier mailbox schedule applies. Stealing
-    /// disqualifies it: steal points need every lane current, so the
-    /// relaxed schedule (periodic barriers) runs instead.
-    fn stateless_schedule(&self) -> bool {
-        (self.gateway.policy_is_stateless() || self.gateway.n_shards() == 1)
-            && !self.gateway.sync_enabled()
-    }
-
-    /// Routes a batch of arrivals under whichever schedule the policy
-    /// admits, updating the watermark and the arrival log.
+    /// The ingest loop. Each admitted arrival is routed into its lane's
+    /// mailbox; when the gateway says the arrival must see current
+    /// shards ([`Gateway::barrier_due`]), a barrier comes first: every
+    /// lane catches up to the arrival's serial instant, then the
+    /// coordinator runs the sync point. Stateless routing never needs
+    /// a barrier, so its lanes run whole in the finale; bounded-stale
+    /// routing and stealing need one every `k + 1` arrivals; stateful
+    /// routing on live views needs one before every arrival.
     fn ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        if self.stateless_schedule() {
-            self.route_ingest(arrivals);
-        } else if self.gateway.sync_enabled() {
-            self.relaxed_ingest(arrivals);
-        } else {
-            self.lockstep_ingest(arrivals);
-        }
-    }
-
-    /// Stateless-policy schedule: route the stream into per-shard
-    /// mailboxes on the coordinator (identical routing bookkeeping to
-    /// the serial driver); shard execution is deferred.
-    fn route_ingest<I>(&mut self, arrivals: I)
     where
         I: IntoIterator<Item = Task>,
     {
         for mut task in arrivals {
             // Tenant admission precedes every coordinate update
-            // (watermark, arrival log, mailboxes): a shed task is
-            // invisible, exactly as in the serial driver — same
-            // verdict from the same arrival-visible data in the same
-            // global order.
-            if self.gateway.pre_admit(&mut task).is_some() {
-                continue;
-            }
-            let target =
-                self.watermark.map_or(task.arrival, |w| w.max(task.arrival));
-            self.watermark = Some(target);
-            if let Some(log) = self.arrival_log.as_mut() {
-                log.push(task);
-            }
-            match self.gateway.admit_route(task) {
-                Admit::Fresh { shard, task } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: None,
-                    });
-                }
-                Admit::Absorb {
-                    shard,
-                    primary,
-                    task,
-                    merged,
-                } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
-                        task,
-                        target,
-                        reuse: Some((primary, merged)),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Drains every shard's mailbox in parallel — the delivery half of
-    /// the stateless schedule, pulled forward by `ingest_prefix`.
-    fn deliver_mailboxes(&mut self) {
-        let truth = self.truth;
-        let lanes = &mut self.lanes;
-        let shards = self.gateway.shards_mut();
-        self.pool.scope(|s| {
-            for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                if !lane.mailbox.is_empty() {
-                    s.spawn(move || {
-                        while let Some(mail) = lane.mailbox.pop_front() {
-                            lane.deliver(core, truth, mail);
-                        }
-                    });
-                }
-            }
-        });
-        self.sync_quarantine_flags();
-    }
-
-    /// Relaxed-consistency schedule ([`crate::Consistency`] /
-    /// stealing): arrivals route into mailboxes exactly like the
-    /// stateless schedule — stateful policies read the gateway's
-    /// epoch-stamped stale view table instead of live shards — and the
-    /// only barriers are the **sync points** every `k + 1` arrivals,
-    /// where all lanes drain their mailboxes and come fully current
-    /// before the coordinator runs the steal pass and republishes the
-    /// view table. Between sync points there are zero cross-shard
-    /// barriers; at a sync point both drivers expose byte-identical
-    /// shard state at the same arrival ordinal (every completion due
-    /// before the sync instant applied, clocks at the arrival's serial
-    /// processing time), which is the relaxed equivalence contract
-    /// `tests/relaxed_equivalence.rs` pins.
-    fn relaxed_ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        for mut task in arrivals {
-            // Shed before any coordinate moves — in particular before
-            // the sync-ordinal check: a shed task must not trigger (or
-            // delay) a sync point, or the steal schedule would observe
-            // another tenant's burst.
+            // (watermark, arrival log, barriers, mailboxes): a shed task
+            // is invisible, exactly as in the serial driver, and cannot
+            // trigger or delay a barrier.
             if self.gateway.pre_admit(&mut task).is_some() {
                 continue;
             }
@@ -1081,67 +936,90 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
             if let Some(log) = self.arrival_log.as_mut() {
                 log.push(task);
             }
-            if self.gateway.sync_due() {
+            if self.gateway.barrier_due() {
                 self.sync_lanes(cutoff, target);
                 self.run_sync_point(target);
             }
-            match self.gateway.admit_route(task) {
-                Admit::Fresh { shard, task } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
+            let (shard, mail) = match self.gateway.admit_route(task) {
+                Admit::Fresh { shard, task } => (
+                    shard,
+                    Mail {
                         task,
                         target,
                         reuse: None,
-                    });
-                }
+                    },
+                ),
                 Admit::Absorb {
                     shard,
                     primary,
                     task,
                     merged,
-                } => {
-                    self.lanes[shard].mailbox.push_back(Mail {
+                } => (
+                    shard,
+                    Mail {
                         task,
                         target,
                         reuse: Some((primary, merged)),
-                    });
-                }
+                    },
+                ),
+            };
+            let lane = &mut self.lanes[shard];
+            if lane.mailbox.is_empty() && self.gateway.barrier_due() {
+                // The next barrier would deliver this arrival first
+                // thing; deliver it on the coordinator now and spare the
+                // barrier a spawn. Under live-view routing this is every
+                // arrival: the routing + mapping chain is serial by data
+                // dependency anyway.
+                let core = &mut self.gateway.shards_mut()[shard];
+                lane.deliver(core, self.truth, mail);
+            } else {
+                lane.mailbox.push_back(mail);
             }
         }
     }
 
-    /// The sync-point barrier: every lane drains its mailbox and
-    /// processes all completions due before `cutoff`, finishing with
-    /// its clock at `target` — the exact state the serial driver holds
-    /// when it reaches the same arrival ordinal.
-    fn sync_lanes(&mut self, cutoff: SimTime, target: SimTime) {
+    /// Runs `work` on every lane: lanes `busy` reports go to the pool,
+    /// the rest run on the coordinator. When at most one lane is busy
+    /// no pool scope opens at all — its allocation and completion latch
+    /// would cost more than the lane's work.
+    fn run_lanes<B, W>(&mut self, busy: B, work: W)
+    where
+        B: Fn(&ShardLane) -> bool,
+        W: Fn(&mut ShardLane, &mut SchedulerCore<'a, S>, &PetMatrix) + Sync,
+    {
         let truth = self.truth;
         let lanes = &mut self.lanes;
         let shards = self.gateway.shards_mut();
-        if lanes
-            .iter()
-            .any(|l| !l.mailbox.is_empty() || l.has_due(cutoff))
-        {
-            self.pool.scope(|s| {
-                for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
-                    if !lane.mailbox.is_empty() || lane.has_due(cutoff) {
-                        s.spawn(move || {
-                            while let Some(mail) = lane.mailbox.pop_front() {
-                                lane.deliver(core, truth, mail);
-                            }
-                            lane.advance_events(core, truth, cutoff, target);
-                        });
-                    } else if target > core.now() {
-                        core.advance_to(target);
-                    }
-                }
-            });
-        } else {
-            for core in shards.iter_mut() {
-                if target > core.now() {
-                    core.advance_to(target);
+        if lanes.iter().filter(|l| busy(l)).count() <= 1 {
+            for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
+                work(lane, core, truth);
+            }
+            return;
+        }
+        let work = &work;
+        self.pool.scope(|s| {
+            for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
+                if busy(lane) {
+                    s.spawn(move || work(lane, core, truth));
+                } else {
+                    work(lane, core, truth);
                 }
             }
-        }
+        });
+    }
+
+    /// The barrier: every lane drains its mailbox and processes all
+    /// completions due before `cutoff`, finishing with its clock at
+    /// `target` — the exact state the serial driver holds when it
+    /// reaches the same arrival ordinal.
+    fn sync_lanes(&mut self, cutoff: SimTime, target: SimTime) {
+        self.run_lanes(
+            |lane| !lane.mailbox.is_empty() || lane.has_due(cutoff),
+            |lane, core, truth| {
+                lane.deliver_mailbox(core, truth);
+                lane.advance_events(core, truth, cutoff, target);
+            },
+        );
         self.sync_quarantine_flags();
     }
 
@@ -1178,129 +1056,6 @@ impl<'a, S: Sink> ParallelFederatedEngine<'a, S> {
         for (lane, core) in lanes.iter_mut().zip(shards.iter_mut()) {
             lane.dispatch_starts(core, truth);
             core.drain_decisions();
-        }
-    }
-
-    /// State-dependent-policy schedule: one epoch per arrival. All
-    /// lanes advance in parallel to the arrival's watermark, then the
-    /// coordinator routes on views every bit as fresh as the serial
-    /// driver's and runs the routed shard's mapping event inline (that
-    /// chain is serial by data dependency — each routing decision
-    /// observes the previous arrival's mapping).
-    fn lockstep_ingest<I>(&mut self, arrivals: I)
-    where
-        I: IntoIterator<Item = Task>,
-    {
-        let truth = self.truth;
-        for mut task in arrivals {
-            if self.gateway.pre_admit(&mut task).is_some() {
-                continue;
-            }
-            let cutoff = task.arrival;
-            let target = self.watermark.map_or(cutoff, |w| w.max(cutoff));
-            self.watermark = Some(target);
-            if let Some(log) = self.arrival_log.as_mut() {
-                log.push(task);
-            }
-            {
-                let lanes = &mut self.lanes;
-                let shards = self.gateway.shards_mut();
-                // A same-instant burst usually has nothing due between
-                // its arrivals; don't pay for a scope (allocation +
-                // completion latch) when no lane will spawn.
-                if lanes.iter().any(|lane| lane.has_due(cutoff)) {
-                    self.pool.scope(|s| {
-                        for (lane, core) in
-                            lanes.iter_mut().zip(shards.iter_mut())
-                        {
-                            if lane.has_due(cutoff) {
-                                s.spawn(move || {
-                                    lane.advance_events(
-                                        core, truth, cutoff, target,
-                                    );
-                                });
-                            } else if target > core.now() {
-                                // No shard work this epoch: the clock
-                                // tick is too cheap to ship out.
-                                core.advance_to(target);
-                            }
-                        }
-                    });
-                } else {
-                    for core in shards.iter_mut() {
-                        if target > core.now() {
-                            core.advance_to(target);
-                        }
-                    }
-                }
-            }
-            // The routing + mapping chain is the serial driver's,
-            // split so the lane guard (when installed) can journal the
-            // relabelled arrival and consult the crash schedule after
-            // the mapping round commits — the same fault frontier the
-            // mailbox path uses.
-            let (shard, reuse, relabelled) =
-                match self.gateway.admit_route(task) {
-                    Admit::Fresh { shard, task } => (shard, None, task),
-                    Admit::Absorb {
-                        shard,
-                        primary,
-                        task,
-                        merged,
-                    } => (shard, Some((primary, merged)), task),
-                };
-            if self.lanes[shard].is_quarantined() {
-                // Only reachable when *every* shard is quarantined
-                // (route_only remaps around dead shards otherwise):
-                // record the arrival, start nothing.
-                let core = &mut self.gateway.shards_mut()[shard];
-                match reuse {
-                    Some((primary, merged)) => {
-                        core.apply_piggyback(primary, relabelled, merged);
-                    }
-                    None => core.push_arrival(relabelled),
-                }
-                let _ = core.drain_starts();
-                core.drain_decisions();
-                continue;
-            }
-            let crashed = match self.lanes[shard].guard.as_mut() {
-                Some(g) => match reuse {
-                    Some((primary, merged)) => {
-                        g.on_piggyback(target, primary, relabelled, merged)
-                    }
-                    None => g.on_arrival(target, relabelled),
-                },
-                None => false,
-            };
-            {
-                let core = &mut self.gateway.shards_mut()[shard];
-                match reuse {
-                    Some((primary, merged)) => {
-                        core.apply_piggyback(primary, relabelled, merged);
-                    }
-                    None => core.push_arrival(relabelled),
-                }
-                self.lanes[shard].dispatch_starts(core, truth);
-                core.drain_decisions();
-            }
-            if crashed {
-                let core = &mut self.gateway.shards_mut()[shard];
-                let now = core.now();
-                let g = self.lanes[shard]
-                    .guard
-                    .as_mut()
-                    .expect("crash implies a guard");
-                g.settle_crash(core, now);
-                if g.quarantined {
-                    self.lanes[shard].discard_events();
-                    self.gateway.set_quarantined(shard);
-                    continue;
-                }
-            }
-            if let Some(g) = self.lanes[shard].guard.as_mut() {
-                g.maybe_checkpoint(&self.gateway.shards()[shard]);
-            }
         }
     }
 

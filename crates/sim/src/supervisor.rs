@@ -251,9 +251,132 @@ impl RecoveryLog {
 
 /// Deterministic exponential backoff for attempt `k` (1-based):
 /// `base · 2^(k−1)`, exponent capped so it can never overflow.
-pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
+fn backoff_at(base: u64, attempt: u32) -> u64 {
     let exp = attempt.saturating_sub(1).min(16);
     base.saturating_mul(1u64 << exp)
+}
+
+/// One shard's retry budget and the three recovery steps that draw on
+/// it, shared by the serial [`Supervisor`] (one per shard) and the
+/// parallel lane guards (one per lane). Each step pushes its actions
+/// to the caller's [`RecoveryLog`], so both drivers record the same
+/// sequence for the same fault.
+#[derive(Debug)]
+pub(crate) struct ShardRecovery {
+    shard: usize,
+    backoff_base: u64,
+    retries_left: u32,
+}
+
+impl ShardRecovery {
+    pub(crate) fn new(shard: usize, policy: &RecoveryPolicy) -> Self {
+        Self {
+            shard,
+            backoff_base: policy.backoff_base,
+            retries_left: policy.retry_budget,
+        }
+    }
+
+    /// A lost or delayed completion: spends one retry to redeliver it
+    /// from its journal record at the fault instant. Returns `false`,
+    /// logging nothing, once the budget is spent — the delivery then
+    /// stays lost.
+    pub(crate) fn redeliver(
+        &mut self,
+        log: &mut RecoveryLog,
+        now: SimTime,
+    ) -> bool {
+        if self.retries_left == 0 {
+            return false;
+        }
+        self.retries_left -= 1;
+        self.log_retry(log, now, 1);
+        log.push(now, self.shard, RecoveryActionKind::Redelivered);
+        true
+    }
+
+    /// Bounded restore retries: each attempt spends one retry and
+    /// calls `attempt`, which rebuilds the shard from its checkpoint
+    /// plus journal and returns the journal operations replayed, or
+    /// `None` when the attempt failed. Returns whether the shard was
+    /// rebuilt before the budget ran out.
+    pub(crate) fn restore(
+        &mut self,
+        log: &mut RecoveryLog,
+        now: SimTime,
+        mut attempt: impl FnMut() -> Option<u64>,
+    ) -> bool {
+        let mut n = 0u32;
+        while self.retries_left > 0 {
+            n += 1;
+            self.retries_left -= 1;
+            self.log_retry(log, now, n);
+            match attempt() {
+                Some(journal_ops) => {
+                    log.push(
+                        now,
+                        self.shard,
+                        RecoveryActionKind::RecoveryReplayed { journal_ops },
+                    );
+                    return true;
+                }
+                None => log.push(
+                    now,
+                    self.shard,
+                    RecoveryActionKind::RecoveryFailed { attempt: n },
+                ),
+            }
+        }
+        false
+    }
+
+    /// Checkpoints at arrival `watermark`: `attempt` captures the
+    /// checkpoint and returns `true`, or `false` on a transient
+    /// storage fault, which is retried within the budget. Giving up on
+    /// exhaustion is safe: the journal keeps growing, so recovery
+    /// stays possible from the previous checkpoint.
+    pub(crate) fn checkpoint(
+        &mut self,
+        log: &mut RecoveryLog,
+        now: SimTime,
+        watermark: u64,
+        mut attempt: impl FnMut() -> bool,
+    ) {
+        let mut n = 0u32;
+        loop {
+            n += 1;
+            if attempt() {
+                log.push(
+                    now,
+                    self.shard,
+                    RecoveryActionKind::CheckpointTaken { watermark },
+                );
+                return;
+            }
+            log.push(
+                now,
+                self.shard,
+                RecoveryActionKind::CheckpointFailed { attempt: n },
+            );
+            if self.retries_left == 0 {
+                return;
+            }
+            self.retries_left -= 1;
+        }
+    }
+
+    fn log_retry(&self, log: &mut RecoveryLog, now: SimTime, attempt: u32) {
+        let backoff = backoff_at(self.backoff_base, attempt);
+        log.push(
+            now,
+            self.shard,
+            RecoveryActionKind::RetryScheduled {
+                attempt,
+                backoff,
+                at: SimTime(now.ticks().saturating_add(backoff)),
+            },
+        );
+    }
 }
 
 /// The self-healing wrapper around the serial [`FederatedEngine`]:
@@ -268,7 +391,7 @@ pub(crate) fn backoff_at(base: u64, attempt: u32) -> u64 {
 pub struct Supervisor<'a, S: Sink = NullSink> {
     engine: FederatedEngine<'a, S>,
     policy: RecoveryPolicy,
-    retries_left: Vec<u32>,
+    recovery: Vec<ShardRecovery>,
     checkpoints: Vec<Snapshot>,
     next_watermark: u64,
     log: RecoveryLog,
@@ -293,7 +416,7 @@ impl<'a, S: Sink> Supervisor<'a, S> {
         Self {
             engine,
             policy,
-            retries_left: vec![policy.retry_budget; n],
+            recovery: (0..n).map(|s| ShardRecovery::new(s, &policy)).collect(),
             checkpoints,
             next_watermark,
             log: RecoveryLog::default(),
@@ -414,37 +537,14 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                         }
                         FaultKind::LostCompletion
                         | FaultKind::DelayedCompletion => {
-                            if self.retries_left[report.shard] > 0 {
-                                self.retries_left[report.shard] -= 1;
-                                let backoff =
-                                    backoff_at(self.policy.backoff_base, 1);
-                                self.log.push(
-                                    report.time,
-                                    report.shard,
-                                    RecoveryActionKind::RetryScheduled {
-                                        attempt: 1,
-                                        backoff,
-                                        at: SimTime(
-                                            report
-                                                .time
-                                                .ticks()
-                                                .saturating_add(backoff),
-                                        ),
-                                    },
-                                );
+                            // On an exhausted budget the delivery stays
+                            // lost. The shard remains live; its stuck
+                            // work surfaces as `Unfinished` at the drain
+                            // and the journal gap records the loss.
+                            if self.recovery[report.shard]
+                                .redeliver(&mut self.log, report.time)
+                            {
                                 self.engine.resolve_fault(&report, true, more);
-                                self.log.push(
-                                    report.time,
-                                    report.shard,
-                                    RecoveryActionKind::Redelivered,
-                                );
-                            } else {
-                                // Budget exhausted: the delivery stays
-                                // lost. The shard remains live; its
-                                // stuck work surfaces as `Unfinished`
-                                // at the drain and the journal gap
-                                // records the loss.
-                                self.engine.resolve_fault(&report, false, more);
                             }
                         }
                         FaultKind::DuplicateCompletion
@@ -483,51 +583,20 @@ impl<'a, S: Sink> Supervisor<'a, S> {
     /// Bounded retry loop around checkpoint + journal replay. Returns
     /// whether the shard was rebuilt.
     fn try_recover(&mut self, shard: usize, now: SimTime) -> bool {
-        let mut attempt = 0u32;
-        while self.retries_left[shard] > 0 {
-            attempt += 1;
-            self.retries_left[shard] -= 1;
-            let backoff = backoff_at(self.policy.backoff_base, attempt);
-            self.log.push(
-                now,
-                shard,
-                RecoveryActionKind::RetryScheduled {
-                    attempt,
-                    backoff,
-                    at: SimTime(now.ticks().saturating_add(backoff)),
-                },
-            );
-            if self.engine.recovery_attempt_fails(shard) {
-                self.log.push(
-                    now,
-                    shard,
-                    RecoveryActionKind::RecoveryFailed { attempt },
-                );
-                continue;
+        let engine = &mut self.engine;
+        let checkpoint = &self.checkpoints[shard];
+        self.recovery[shard].restore(&mut self.log, now, || {
+            if engine.recovery_attempt_fails(shard) {
+                return None;
             }
-            match self.engine.recover_shard(shard, &self.checkpoints[shard]) {
-                Ok(()) => {
-                    let journal_ops = self.engine.journal(shard).len() as u64;
-                    self.log.push(
-                        now,
-                        shard,
-                        RecoveryActionKind::RecoveryReplayed { journal_ops },
-                    );
-                    return true;
-                }
+            match engine.recover_shard(shard, checkpoint) {
+                Ok(()) => Some(engine.journal(shard).len() as u64),
                 Err(RunError::RecoveryUnavailable) => unreachable!(
                     "the supervisor enabled journaling at construction"
                 ),
-                Err(_) => {
-                    self.log.push(
-                        now,
-                        shard,
-                        RecoveryActionKind::RecoveryFailed { attempt },
-                    );
-                }
+                Err(_) => None,
             }
-        }
-        false
+        })
     }
 
     /// Watermark maintenance: per-shard health checks plus the
@@ -586,32 +655,21 @@ impl<'a, S: Sink> Supervisor<'a, S> {
                 self.try_recover(shard, now);
             }
             // Auto-checkpoint, retrying transient storage faults
-            // within the budget. Skipping on exhaustion is safe: the
-            // journal keeps growing, so recovery stays possible from
-            // the previous checkpoint.
-            let mut attempt = 0u32;
-            loop {
-                attempt += 1;
-                if self.engine.checkpoint_attempt_fails(shard) {
-                    self.log.push(
-                        now,
-                        shard,
-                        RecoveryActionKind::CheckpointFailed { attempt },
-                    );
-                    if self.retries_left[shard] > 0 {
-                        self.retries_left[shard] -= 1;
-                        continue;
+            // within the budget.
+            let engine = &mut self.engine;
+            let checkpoints = &mut self.checkpoints;
+            self.recovery[shard].checkpoint(
+                &mut self.log,
+                now,
+                watermark,
+                || {
+                    if engine.checkpoint_attempt_fails(shard) {
+                        return false;
                     }
-                    break;
-                }
-                self.checkpoints[shard] = self.engine.checkpoint(shard);
-                self.log.push(
-                    now,
-                    shard,
-                    RecoveryActionKind::CheckpointTaken { watermark },
-                );
-                break;
-            }
+                    checkpoints[shard] = engine.checkpoint(shard);
+                    true
+                },
+            );
         }
     }
 }
@@ -620,7 +678,7 @@ impl<S: Sink> std::fmt::Debug for Supervisor<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Supervisor")
             .field("policy", &self.policy)
-            .field("retries_left", &self.retries_left)
+            .field("recovery", &self.recovery)
             .field("actions", &self.log.len())
             .finish_non_exhaustive()
     }
@@ -628,13 +686,15 @@ impl<S: Sink> std::fmt::Debug for Supervisor<'_, S> {
 
 /// The self-healing wrapper around the
 /// [`ParallelFederatedEngine`]: the same [`RecoveryPolicy`] semantics,
-/// applied lane-locally on the worker threads (each lane carries its
-/// own journal, checkpoint and retry budget — see the lane-guard notes
-/// in [`crate::parallel`]). The one semantic difference from the
-/// serial [`Supervisor`]: a lane that exhausts its budget degrades by
-/// dropping its own backlog (quarantine without the cross-shard
-/// re-route — lanes cannot reach each other mid-run); the coordinator
-/// still remaps *future* arrivals around it at the next ingest epoch.
+/// applied lane-locally by whichever thread delivers the lane's work
+/// (each lane carries its own journal, checkpoint and retry budget,
+/// and takes the same recovery steps as the serial [`Supervisor`]).
+/// The one semantic difference from the serial supervisor: a lane
+/// that exhausts its budget degrades by dropping its own backlog
+/// (quarantine without the cross-shard re-route — the other lanes may
+/// be mid-slice at the crash instant); the coordinator still remaps
+/// *future* arrivals around it once a barrier or an ingest pause
+/// publishes the fail-stop.
 pub struct ParallelSupervisor<'a, S: Sink = NullSink> {
     engine: ParallelFederatedEngine<'a, S>,
     policy: RecoveryPolicy,
@@ -741,6 +801,120 @@ mod tests {
         assert!(p.checkpoint_interval > 0);
         assert!(p.quarantine_shed_factor > 1.0);
         assert_eq!(RecoveryPolicy::no_retries().retry_budget, 0);
+    }
+
+    fn steps(budget: u32) -> ShardRecovery {
+        ShardRecovery::new(
+            2,
+            &RecoveryPolicy {
+                retry_budget: budget,
+                backoff_base: 10,
+                ..RecoveryPolicy::default()
+            },
+        )
+    }
+
+    fn kinds(log: &RecoveryLog) -> Vec<RecoveryActionKind> {
+        assert!(log
+            .actions()
+            .iter()
+            .all(|a| a.shard == 2 && a.time == SimTime(100)));
+        log.actions().iter().map(|a| a.kind).collect()
+    }
+
+    fn retry(attempt: u32, backoff: u64) -> RecoveryActionKind {
+        RecoveryActionKind::RetryScheduled {
+            attempt,
+            backoff,
+            at: SimTime(100 + backoff),
+        }
+    }
+
+    #[test]
+    fn redelivery_spends_one_retry_then_stays_lost() {
+        let mut r = steps(1);
+        let mut log = RecoveryLog::default();
+        assert!(r.redeliver(&mut log, SimTime(100)));
+        assert_eq!(
+            kinds(&log),
+            [retry(1, 10), RecoveryActionKind::Redelivered]
+        );
+        // Budget spent: the delivery stays lost and nothing is logged.
+        assert!(!r.redeliver(&mut log, SimTime(100)));
+        assert_eq!(log.len(), 2);
+    }
+
+    #[test]
+    fn restore_retries_until_an_attempt_replays() {
+        let mut r = steps(3);
+        let mut log = RecoveryLog::default();
+        let mut outcomes = [None, Some(7)].into_iter();
+        assert!(r.restore(&mut log, SimTime(100), || outcomes.next().unwrap()));
+        assert_eq!(
+            kinds(&log),
+            [
+                retry(1, 10),
+                RecoveryActionKind::RecoveryFailed { attempt: 1 },
+                retry(2, 20),
+                RecoveryActionKind::RecoveryReplayed { journal_ops: 7 },
+            ]
+        );
+        // One retry left: a failing attempt spends it and gives up.
+        let mut log = RecoveryLog::default();
+        assert!(!r.restore(&mut log, SimTime(100), || None));
+        assert_eq!(
+            kinds(&log),
+            [
+                retry(1, 10),
+                RecoveryActionKind::RecoveryFailed { attempt: 1 }
+            ]
+        );
+        // Exhausted: no attempt is made at all.
+        let mut log = RecoveryLog::default();
+        assert!(!r.restore(&mut log, SimTime(100), || unreachable!()));
+        assert!(log.is_empty());
+    }
+
+    #[test]
+    fn checkpoint_retries_failures_then_gives_up() {
+        let mut r = steps(2);
+        let mut log = RecoveryLog::default();
+        let mut outcomes = [false, true].into_iter();
+        r.checkpoint(&mut log, SimTime(100), 64, || outcomes.next().unwrap());
+        assert_eq!(
+            kinds(&log),
+            [
+                RecoveryActionKind::CheckpointFailed { attempt: 1 },
+                RecoveryActionKind::CheckpointTaken { watermark: 64 },
+            ]
+        );
+        // One retry left: a persistent failure spends it, then gives up.
+        let mut log = RecoveryLog::default();
+        let mut attempts = 0;
+        let mut failing = || {
+            attempts += 1;
+            false
+        };
+        r.checkpoint(&mut log, SimTime(100), 128, &mut failing);
+        assert_eq!(
+            kinds(&log),
+            [
+                RecoveryActionKind::CheckpointFailed { attempt: 1 },
+                RecoveryActionKind::CheckpointFailed { attempt: 2 },
+            ]
+        );
+        // Exhausted: one attempt, no retry — and a healthy store still
+        // checkpoints.
+        r.checkpoint(&mut log, SimTime(100), 192, &mut failing);
+        assert_eq!(attempts, 3);
+        r.checkpoint(&mut log, SimTime(100), 256, || true);
+        assert_eq!(
+            kinds(&log)[2..],
+            [
+                RecoveryActionKind::CheckpointFailed { attempt: 1 },
+                RecoveryActionKind::CheckpointTaken { watermark: 256 },
+            ]
+        );
     }
 
     #[test]

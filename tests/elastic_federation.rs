@@ -124,7 +124,8 @@ fn serial_reshard_matches_the_uninterrupted_target_shard_count() {
 
 /// Parallel driver: same contract through `ingest_prefix` — the
 /// pause-point for a pool-driven federation — across thread counts and
-/// both scheduling regimes (stateless mailbox fill vs lockstep epochs).
+/// both barrier cadences (stateless routing never opens a barrier,
+/// stateful routing on live views opens one before every arrival).
 #[test]
 fn parallel_reshard_matches_the_uninterrupted_target_shard_count() {
     let (cluster, pet, tasks) = fixture(common::test_scale() * 0.5);

@@ -13,7 +13,7 @@ use taskprune::pruner::PruningMechanism;
 use taskprune::ClusterKind;
 use taskprune_model::{BinSpec, TaskTypeId};
 use taskprune_prob::Pmf;
-use taskprune_sim::FaultEvent;
+use taskprune_sim::{FaultEvent, LeastQueuedRoute};
 
 mod common;
 use common::{scaled, test_scale};
@@ -345,52 +345,65 @@ fn full_budget() -> RecoveryPolicy {
     }
 }
 
-/// The runtime fault matrix: two fixed storm seeds × {serial,
-/// parallel at 1 thread, parallel at the ambient `TASKPRUNE_THREADS`
-/// default} — every cell heals to the fault-free serialized stats.
+/// The runtime fault matrix: two routing policies × two fixed storm
+/// seeds × {serial, parallel at 1 thread, parallel at the ambient
+/// `TASKPRUNE_THREADS` default} — every cell heals to the fault-free
+/// serialized stats. Least-queued routing (default `Lockstep`) reads
+/// live shard views, so its parallel cells run the lane guards under
+/// a per-arrival barrier rather than the barrier-free mailbox path.
 #[test]
 fn fault_storms_heal_identically_across_the_driver_matrix() {
     let (cluster, pet, tasks) = fault_fixture();
     let shards = 3usize;
-    let reference = federated_builder(&cluster, &pet, shards)
-        .build()
-        .expect("valid configuration")
-        .run_stream(tasks.iter().copied());
-    assert_eq!(reference.unreported(), 0);
-    let reference_json = json(&reference);
-
-    for plan_seed in [0xFA01u64, 0xFA02] {
-        let plan = FaultPlan::generate(
-            plan_seed,
-            &FaultSpec::storm(shards, (tasks.len() / shards) as u64),
-        );
-        // Serial.
-        let engine = federated_builder(&cluster, &pet, shards)
-            .build()
-            .expect("valid configuration");
-        let mut sup = Supervisor::new(engine, full_budget());
-        sup.arm(plan.clone());
-        assert_eq!(
-            reference_json,
-            json(&sup.run_stream(tasks.iter().copied())),
-            "serial, plan seed {plan_seed:#x}"
-        );
-        // Parallel: pinned single worker, then the ambient default
-        // (`TASKPRUNE_THREADS` when set — the CI matrix covers 1 and
-        // the core count).
-        for threads in [Some(1usize), None] {
-            let mut b = federated_builder(&cluster, &pet, shards);
-            if let Some(t) = threads {
-                b = b.threads(t);
+    for least_queued in [false, true] {
+        let builder = || {
+            let b = federated_builder(&cluster, &pet, shards);
+            if least_queued {
+                b.policy(LeastQueuedRoute::new())
+            } else {
+                b
             }
-            let engine = b.build_parallel().expect("valid configuration");
-            let mut sup = ParallelSupervisor::new(engine, full_budget());
-            sup.arm(&plan);
+        };
+        let reference = builder()
+            .build()
+            .expect("valid configuration")
+            .run_stream(tasks.iter().copied());
+        assert_eq!(reference.unreported(), 0);
+        let reference_json = json(&reference);
+
+        for plan_seed in [0xFA01u64, 0xFA02] {
+            let plan = FaultPlan::generate(
+                plan_seed,
+                &FaultSpec::storm(shards, (tasks.len() / shards) as u64),
+            );
+            // Serial.
+            let engine = builder().build().expect("valid configuration");
+            let mut sup = Supervisor::new(engine, full_budget());
+            sup.arm(plan.clone());
             assert_eq!(
                 reference_json,
                 json(&sup.run_stream(tasks.iter().copied())),
-                "parallel threads={threads:?}, plan seed {plan_seed:#x}"
+                "serial, least_queued={least_queued}, \
+                 plan seed {plan_seed:#x}"
             );
+            // Parallel: pinned single worker, then the ambient default
+            // (`TASKPRUNE_THREADS` when set — the CI matrix covers 1
+            // and the core count).
+            for threads in [Some(1usize), None] {
+                let mut b = builder();
+                if let Some(t) = threads {
+                    b = b.threads(t);
+                }
+                let engine = b.build_parallel().expect("valid configuration");
+                let mut sup = ParallelSupervisor::new(engine, full_budget());
+                sup.arm(&plan);
+                assert_eq!(
+                    reference_json,
+                    json(&sup.run_stream(tasks.iter().copied())),
+                    "parallel threads={threads:?}, \
+                     least_queued={least_queued}, plan seed {plan_seed:#x}"
+                );
+            }
         }
     }
 }

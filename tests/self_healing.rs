@@ -24,7 +24,9 @@ mod common;
 
 use taskprune::prelude::*;
 use taskprune::pruner::PruningMechanism;
-use taskprune_sim::{FaultEvent, RecoveryActionKind, TraceLog};
+use taskprune_sim::{
+    FaultEvent, LeastQueuedRoute, RecoveryActionKind, TraceLog,
+};
 
 /// Two fixed plan seeds — the same pair the CI fault-matrix job pins.
 const PLAN_SEEDS: [u64; 2] = [0xFA01, 0xFA02];
@@ -310,43 +312,53 @@ fn budget_zero_crash_quarantines_and_reroutes_serial() {
 /// Parallel: budget 0 + permanent crash ⇒ the lane fail-stops
 /// (quarantine without the cross-shard re-route — `rerouted == 0` by
 /// design), the run completes with every arrival accounted for, and
-/// the log is deterministic.
+/// the log is deterministic. Covered under round-robin (barrier-free
+/// mailboxes) and least-queued routing (a barrier before every
+/// arrival, default `Lockstep`), at 1 and 2 threads.
 #[test]
 fn budget_zero_crash_fail_stops_parallel() {
     let (cluster, pet, tasks) = oversubscribed_fixture(common::test_scale());
     let crash_shard = 1usize;
     let nth = (tasks.len() / 6).max(2) as u64;
-    let run = || {
-        let engine = builder(&cluster, &pet, 3)
-            .threads(2)
-            .build_parallel()
-            .expect("valid configuration");
-        let mut sup =
-            ParallelSupervisor::new(engine, RecoveryPolicy::no_retries());
-        sup.arm(&permanent_crash(crash_shard, nth));
-        sup.run_stream(tasks.iter().copied())
-    };
+    for least_queued in [false, true] {
+        let run = |threads: usize| {
+            let mut b = builder(&cluster, &pet, 3).threads(threads);
+            if least_queued {
+                b = b.policy(LeastQueuedRoute::new());
+            }
+            let engine = b.build_parallel().expect("valid configuration");
+            let mut sup =
+                ParallelSupervisor::new(engine, RecoveryPolicy::no_retries());
+            sup.arm(&permanent_crash(crash_shard, nth));
+            sup.run_stream(tasks.iter().copied())
+        };
 
-    let stats = run();
-    assert_eq!(
-        stats.unreported(),
-        0,
-        "a fail-stopped lane must still account for every arrival"
-    );
-    let log = stats.recovery_log();
-    assert_eq!(
-        log.count(|k| matches!(
-            k,
-            RecoveryActionKind::Quarantined { rerouted: 0 }
-        )),
-        1,
-        "one lane-local quarantine, no cross-shard re-route: {log:?}"
-    );
-    assert!(stats.count(TaskOutcome::Unfinished) > 0);
+        let stats = run(2);
+        assert_eq!(
+            stats.unreported(),
+            0,
+            "a fail-stopped lane must still account for every arrival \
+             (least_queued={least_queued})"
+        );
+        let log = stats.recovery_log();
+        assert_eq!(
+            log.count(|k| matches!(
+                k,
+                RecoveryActionKind::Quarantined { rerouted: 0 }
+            )),
+            1,
+            "one lane-local quarantine, no cross-shard re-route \
+             (least_queued={least_queued}): {log:?}"
+        );
+        assert!(stats.count(TaskOutcome::Unfinished) > 0);
 
-    let again = run();
-    assert_eq!(json(&stats), json(&again));
-    assert_eq!(log, again.recovery_log());
+        let again = run(2);
+        assert_eq!(json(&stats), json(&again));
+        assert_eq!(log, again.recovery_log());
+        let inline = run(1);
+        assert_eq!(json(&stats), json(&inline));
+        assert_eq!(log, inline.recovery_log());
+    }
 }
 
 // ---------------------------------------------------------------------
