@@ -33,8 +33,8 @@
 //!
 //! A steady-state mapping event performs no heap allocation in the
 //! core: the reactive-drop list, the candidate list, the proposal list,
-//! the deferred-id set, the drop work-lists, the event report and the
-//! decision/start buffers are all reused arenas, and [`SystemView`]
+//! the drop work-lists, the event report and the decision/start
+//! buffers are all reused arenas, and [`SystemView`]
 //! construction is three borrows on the stack. (The estimator side has
 //! been allocation-free since the convolution arena; see
 //! [`crate::queue`].)
@@ -49,7 +49,6 @@ use crate::trace::{QueueSnapshot, TraceEvent};
 use crate::traits::{Assignment, EventReport, MappingStrategy, Pruner};
 use crate::view::SystemView;
 use serde::{Deserialize, Serialize, Value};
-use std::collections::HashSet;
 use taskprune_model::{
     Machine, MachineId, PetMatrix, SimTime, Task, TaskId, TaskOutcome,
 };
@@ -159,12 +158,10 @@ pub struct SchedulerCore<'a, S: Sink = NullSink> {
     starts_spare: Vec<Start>,
     /// Reused per-event report fed to the pruner (Accounting input).
     report: EventReport,
-    /// Reused per-round buffer for the batch mapping loop's candidates.
+    /// Reused per-event buffer for the batch mapping loop's candidates.
     candidate_buf: Vec<Task>,
     /// Reused per-round buffer for the heuristic's proposals.
     proposal_buf: Vec<Assignment>,
-    /// Reused per-event set of task ids the pruner deferred.
-    deferred_buf: HashSet<TaskId>,
     /// Reused per-event buffer for the pruner's proactive drops.
     drop_buf: Vec<(MachineId, TaskId)>,
     /// Reused per-machine id list sliced out of `drop_buf`.
@@ -216,7 +213,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             report: EventReport::default(),
             candidate_buf: Vec::new(),
             proposal_buf: Vec::new(),
-            deferred_buf: HashSet::new(),
             drop_buf: Vec::new(),
             drop_ids_buf: Vec::new(),
             reuse: ReuseLedger::new(),
@@ -244,7 +240,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             report: self.report,
             candidate_buf: self.candidate_buf,
             proposal_buf: self.proposal_buf,
-            deferred_buf: self.deferred_buf,
             drop_buf: self.drop_buf,
             drop_ids_buf: self.drop_ids_buf,
             reuse: self.reuse,
@@ -995,6 +990,13 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
 
     /// The Step 7 while-loop: heuristic proposes, pruner vetoes,
     /// survivors dispatch, repeat until no progress is possible.
+    ///
+    /// The candidate list is built once per event, in arrival order, and
+    /// shrinks in place: a task leaves it the moment it is taken
+    /// (assigned or deferred). So "in `candidates`" is exactly "still in
+    /// the arrival queue and not deferred this event", the test each
+    /// proposal must pass; a duplicate, an unknown id or a task deferred
+    /// in an earlier round fails it, whatever the mapper proposes.
     fn batch_mapping_loop(&mut self) {
         let mapper = match &mut self.strategy {
             MappingStrategy::Batch(m) => m,
@@ -1002,21 +1004,14 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 panic!("batch mode requires a batch-mode mapper")
             }
         };
-        let mut deferred = std::mem::take(&mut self.deferred_buf);
-        deferred.clear();
         let mut candidates = std::mem::take(&mut self.candidate_buf);
+        candidates.clear();
+        candidates.extend_from_slice(&self.arrival_queue);
         let mut proposals = std::mem::take(&mut self.proposal_buf);
         loop {
             if self.queues.iter().all(|q| q.free_slots() == 0) {
                 break;
             }
-            candidates.clear();
-            candidates.extend(
-                self.arrival_queue
-                    .iter()
-                    .filter(|t| !deferred.contains(&t.id))
-                    .copied(),
-            );
             if candidates.is_empty() {
                 break;
             }
@@ -1031,21 +1026,16 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
             let mut progressed = false;
             for pi in 0..proposals.len() {
                 let assignment = proposals[pi];
-                if deferred.contains(&assignment.task) {
-                    continue;
-                }
                 let machine_idx = assignment.machine.0 as usize;
                 if self.queues[machine_idx].free_slots() == 0 {
                     continue; // stale proposal for a queue filled earlier
                 }
-                let Some(pos) = self
-                    .arrival_queue
-                    .iter()
-                    .position(|t| t.id == assignment.task)
+                let Some(ci) =
+                    candidates.iter().position(|t| t.id == assignment.task)
                 else {
-                    continue;
+                    continue; // taken already, or never a candidate
                 };
-                let task = self.arrival_queue[pos];
+                let task = candidates.remove(ci);
                 let chance = {
                     let view =
                         SystemView::new(self.now, &self.queues, self.pet);
@@ -1070,7 +1060,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     None => chance,
                 };
                 if self.pruner.should_defer(&task, chance) {
-                    deferred.insert(task.id);
                     self.stats.deferrals += 1;
                     self.decisions
                         .push(Decision::DeferToBatch { task: task.id });
@@ -1080,6 +1069,11 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     );
                     progressed = true; // candidate set shrank
                 } else {
+                    let pos = self
+                        .arrival_queue
+                        .iter()
+                        .position(|t| t.id == task.id)
+                        .expect("every candidate is in the arrival queue");
                     self.arrival_queue.remove(pos);
                     self.queues[machine_idx].admit(task);
                     self.decisions.push(Decision::Assign {
@@ -1100,7 +1094,6 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 break;
             }
         }
-        self.deferred_buf = deferred;
         self.candidate_buf = candidates;
         self.proposal_buf = proposals;
     }
@@ -1282,6 +1275,124 @@ mod tests {
             Decision::CancelRunning { task: id },
         ];
         assert!(all.iter().all(|d| d.task() == id));
+    }
+
+    /// Plays one scripted round of proposals per `select` call from the
+    /// first call that sees `arm_at` candidates on, recording the
+    /// candidates of every round it plays.
+    struct Scripted {
+        arm_at: usize,
+        armed: bool,
+        rounds: std::collections::VecDeque<Vec<Assignment>>,
+        seen: std::sync::Arc<std::sync::Mutex<Vec<Vec<u64>>>>,
+    }
+    impl BatchMapper for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+        fn select(
+            &mut self,
+            _view: &SystemView<'_>,
+            candidates: &[Task],
+        ) -> Vec<Assignment> {
+            self.armed |= candidates.len() >= self.arm_at;
+            if !self.armed {
+                return Vec::new();
+            }
+            let ids = candidates.iter().map(|t| t.id.0).collect();
+            self.seen.lock().unwrap().push(ids);
+            self.rounds.pop_front().unwrap_or_default()
+        }
+    }
+
+    /// Defers exactly the listed task ids.
+    struct DeferIds(Vec<TaskId>);
+    impl Pruner for DeferIds {
+        fn name(&self) -> &str {
+            "defer-ids"
+        }
+        fn begin_event(&mut self, _report: &EventReport) {}
+        fn select_drops(
+            &mut self,
+            _view: &SystemView<'_>,
+        ) -> Vec<(MachineId, TaskId)> {
+            Vec::new()
+        }
+        fn should_defer(&mut self, task: &Task, _chance: f64) -> bool {
+            self.0.contains(&task.id)
+        }
+    }
+
+    #[test]
+    fn defer_loop_filters_misbehaving_proposals() {
+        // Two machines with one waiting slot each; tasks 0..4 pending.
+        let pet = PetMatrix::new(
+            BinSpec::new(100),
+            2,
+            1,
+            vec![Pmf::point_mass(2), Pmf::point_mass(2)],
+        );
+        let cluster = Cluster::one_per_type(2);
+        let to = |task: u64, machine: u16| Assignment {
+            task: TaskId(task),
+            machine: MachineId(machine),
+        };
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mapper = Scripted {
+            arm_at: 4,
+            armed: false,
+            rounds: [
+                vec![
+                    to(0, 0), // assigned; machine 0 is now full
+                    to(0, 1), // duplicate of a task taken this round
+                    to(1, 1), // deferred by the pruner
+                    to(9, 1), // unknown id
+                    to(2, 0), // full queue
+                ],
+                vec![
+                    to(1, 1), // deferred in an earlier round
+                    to(3, 1), // assigned
+                ],
+            ]
+            .into(),
+            seen: seen.clone(),
+        };
+        let mut c = SchedulerBuilder::new(&cluster, &pet)
+            .config(SimConfig {
+                queue_capacity: 1,
+                ..SimConfig::batch(1)
+            })
+            .strategy(MappingStrategy::Batch(Box::new(mapper)))
+            .pruner(DeferIds(vec![TaskId(1)]))
+            .build_core()
+            .expect("valid configuration");
+        for i in 0..4 {
+            c.push_arrival(Task::new(
+                i,
+                TaskTypeId(0),
+                SimTime(0),
+                SimTime(100_000),
+            ));
+        }
+        assert_eq!(
+            c.drain_decisions(),
+            &[
+                Decision::Assign {
+                    task: TaskId(0),
+                    machine: MachineId(0)
+                },
+                Decision::DeferToBatch { task: TaskId(1) },
+                Decision::Assign {
+                    task: TaskId(3),
+                    machine: MachineId(1)
+                },
+            ]
+        );
+        // The second round saw only the tasks nobody took in the first;
+        // both queues were full after it, so there was no third.
+        assert_eq!(*seen.lock().unwrap(), vec![vec![0, 1, 2, 3], vec![2, 3]]);
+        assert_eq!(c.pending_batch_len(), 2);
+        assert_eq!(c.stats.deferrals, 1);
     }
 
     #[test]

@@ -48,6 +48,32 @@
 //! far in the future can never contribute to an on-time completion, so
 //! success queries stay exact (see `taskprune-prob`'s tail-mass
 //! semantics).
+//!
+//! # The memoised ready-time sum
+//!
+//! Eq. 2 for a task appended at the tail is
+//! Σₓ pet(x) · R(d − x), where R(r) = Σₐ base(a) · chain_cdf(r − a) is
+//! the probability that the queue ahead is done by bin `r`. R depends
+//! on the queue's state and the `now` bin only — not on the task's type
+//! or deadline — so every appended-task query against one queue state
+//! shares it. [`MachineQueue::chance_if_appended`] keeps R in a lazily
+//! filled table spanning `[base.min, base.max + chain_cdf.max + 1]`
+//! (R is constant past its last slot: every term reads the chain CDF's
+//! flat tail there), and a query is one pass over the PET reading it.
+//!
+//! * **Key.** The table belongs to the `now` bin it was filled for;
+//!   a query at another bin refills it.
+//! * **Invalidation.** Every `&mut` mutator (admit, pop, start,
+//!   complete, cancel, drops that remove something, drain, rebuild,
+//!   restore) drops the memo. `complete_running` bumps no generation,
+//!   so the generation counter cannot serve as the key. Dropping is
+//!   O(1): slots carry the epoch stamp of the fill that wrote them, and
+//!   a new fill only bumps the epoch.
+//! * **Exactness.** The memoised query and [`chance_of_success`] share
+//!   one outer loop over the PET and one inner loop filling a slot
+//!   (same order, same skips), so every memoised chance is
+//!   bit-identical to the free function's. `queue_fuzz` pins that
+//!   after every operation.
 
 use crate::snapshot::{Snapshot, SnapshotError};
 use serde::{Deserialize, Serialize, Value};
@@ -75,7 +101,7 @@ pub struct RunningTask {
 /// The lazily-repaired prefix-chain cache plus the per-queue convolution
 /// arena. Interior-mutable so estimate queries on `&MachineQueue` can
 /// repair the chain in place.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ChainCache {
     /// Slot `i` = PET(w₀) ∗ … ∗ PET(w_{i−1}); slot 0 = δ(0). Physical
     /// length may exceed the live chain: slots past the current queue
@@ -99,8 +125,37 @@ struct ChainCache {
     /// Guards the walk buffers: a nested `plan_drops` on the same queue
     /// would silently corrupt them, so it fails loudly instead.
     walk_active: bool,
-    /// Buffer for the base (machine-ready-time) distribution.
+    /// Buffer for the base (machine-ready-time) distribution; current
+    /// whenever `memo` holds a key.
     base: Pmf,
+    /// Eq. 2's ready-time sum R at the queue tail (module docs).
+    memo: ReadyMemo,
+}
+
+/// Copies only what a query reads: the live chain prefix, the base and
+/// the memo. Spare chain slots, the walk buffers and the FFT scratch
+/// are allocations, not values, so the clone starts them fresh — this
+/// is what makes the gateway's view-table refresh (a clone of every
+/// shard's queues) cheap.
+impl Clone for ChainCache {
+    fn clone(&self) -> Self {
+        // Not `..Self::new()`: that would allocate a chain and a base
+        // only to drop them, on every queue of every view refresh.
+        let zero = Pmf::point_mass(0);
+        Self {
+            pmfs: self.pmfs[..self.valid].to_vec(),
+            cdfs: self.cdfs[..self.valid].to_vec(),
+            valid: self.valid,
+            scratch: ConvScratch::new(),
+            walk_pmf: zero.clone(),
+            walk_next: zero.clone(),
+            walk_cdf: zero.to_cdf(),
+            walk_base: zero,
+            walk_active: false,
+            base: self.base.clone(),
+            memo: self.memo.clone(),
+        }
+    }
 }
 
 impl ChainCache {
@@ -118,6 +173,7 @@ impl ChainCache {
             walk_base: zero.clone(),
             walk_active: false,
             base: zero,
+            memo: ReadyMemo::default(),
         }
     }
 
@@ -125,6 +181,14 @@ impl ChainCache {
     /// behind it) no longer matches the cached chain.
     fn invalidate_from(&mut self, first_changed: usize) {
         self.valid = self.valid.min(first_changed + 1);
+        self.drop_memo();
+    }
+
+    /// Forgets the ready-time memo (O(1): the next query starts a new
+    /// epoch). Every mutation of the running task or the waiting list
+    /// calls this.
+    fn drop_memo(&mut self) {
+        self.memo.key = None;
     }
 
     /// Repairs the chain up to the current queue length, re-convolving
@@ -151,6 +215,67 @@ impl ChainCache {
             slot.to_cdf_into(&mut self.cdfs[i]);
             self.valid = i + 1;
         }
+    }
+}
+
+/// The lazily filled table of R(r) = Σₐ base(a) · chain_cdf(r − a) for
+/// one queue state and `now` bin (module docs). Slot `k` holds
+/// R(`lo` + k) once its stamp equals `epoch`; the last slot also stands
+/// for every `r` past it, and R is 0 below `lo`.
+#[derive(Debug, Default)]
+struct ReadyMemo {
+    /// The `now` bin the table (and `ChainCache::base`) was filled
+    /// for; `None` once a mutation dropped it.
+    key: Option<Bin>,
+    /// Stamp of the current fill. Starts a fill by incrementing, so a
+    /// fresh slot's stamp 0 never matches.
+    epoch: u64,
+    /// First bin of the table: the base's first bin.
+    lo: Bin,
+    /// Live table length; `slots` may be longer (spare allocation).
+    len: usize,
+    /// `(stamp, R)` per table bin.
+    slots: Vec<(u64, f64)>,
+}
+
+impl Clone for ReadyMemo {
+    fn clone(&self) -> Self {
+        let live = if self.key.is_some() { self.len } else { 0 };
+        Self {
+            key: self.key,
+            epoch: self.epoch,
+            lo: self.lo,
+            len: live,
+            slots: self.slots[..live].to_vec(),
+        }
+    }
+}
+
+impl ReadyMemo {
+    /// Starts an empty fill for `now_bin` over `base` and `chain_cdf`.
+    fn rekey(&mut self, now_bin: Bin, base: &Pmf, chain_cdf: &Cdf) {
+        self.key = Some(now_bin);
+        self.epoch += 1;
+        self.lo = base.min_bin();
+        self.len =
+            (base.max_bin() - self.lo + chain_cdf.max_bin()) as usize + 2;
+        if self.slots.len() < self.len {
+            self.slots.resize(self.len, (0, 0.0));
+        }
+    }
+
+    /// R(`rem`), computing and stamping its slot on first use.
+    fn ready_sum(&mut self, base: &Pmf, chain_cdf: &Cdf, rem: Bin) -> f64 {
+        if rem < self.lo {
+            return 0.0;
+        }
+        let k = ((rem - self.lo) as usize).min(self.len - 1);
+        let slot = &mut self.slots[k];
+        if slot.0 != self.epoch {
+            *slot =
+                (self.epoch, ready_sum(base, chain_cdf, self.lo + k as Bin));
+        }
+        slot.1
     }
 }
 
@@ -236,6 +361,7 @@ impl MachineQueue {
     pub fn admit(&mut self, task: Task) {
         assert!(self.free_slots() > 0, "admit into a full machine queue");
         self.waiting.push_back(task);
+        self.chain.get_mut().drop_memo();
     }
 
     /// Removes the head waiting task so the engine can start it.
@@ -260,11 +386,13 @@ impl MachineQueue {
         assert!(self.running.is_none(), "machine already busy");
         self.generation += 1;
         self.running = Some(RunningTask { task, start });
+        self.chain.get_mut().drop_memo();
         self.generation
     }
 
     /// Completes the running task, returning it.
     pub fn complete_running(&mut self) -> RunningTask {
+        self.chain.get_mut().drop_memo();
         self.running.take().expect("completion on an idle machine")
     }
 
@@ -274,6 +402,7 @@ impl MachineQueue {
     pub fn cancel_running(&mut self) -> RunningTask {
         let rt = self.running.take().expect("cancel on an idle machine");
         self.generation += 1;
+        self.chain.get_mut().drop_memo();
         rt
     }
 
@@ -371,6 +500,13 @@ impl MachineQueue {
 
     /// Chance of success (Eq. 2) for `task` if appended at the tail of
     /// this queue right now.
+    ///
+    /// Bit-identical to [`chance_of_success`] over [`Self::base_pmf`]
+    /// and the tail chain, but memoised: the ready-time sum R is shared
+    /// by every query against this queue state and `now` bin (see the
+    /// module docs), so a query costs one pass over the task's PET plus
+    /// whatever R slots it is the first to read. The memo is dropped by
+    /// every mutation and refilled when `now` enters another bin.
     pub fn chance_if_appended(
         &self,
         bin_spec: BinSpec,
@@ -385,16 +521,19 @@ impl MachineQueue {
             pet_matrix,
             self.horizon_bins,
         );
-        let cache = &mut *chain;
-        self.write_base(bin_spec, pet_matrix, now, &mut cache.base);
-        let chain_cdf = &cache.cdfs[self.waiting.len()];
+        let ChainCache {
+            cdfs, base, memo, ..
+        } = &mut *chain;
+        let chain_cdf = &cdfs[self.waiting.len()];
+        let now_bin = bin_spec.bin_of(now);
+        if memo.key != Some(now_bin) {
+            self.write_base(bin_spec, pet_matrix, now, base);
+            memo.rekey(now_bin, base, chain_cdf);
+        }
         let pet = pet_matrix.pet(self.machine.type_id, task.type_id);
-        chance_of_success(
-            &cache.base,
-            chain_cdf,
-            pet,
-            bin_spec.deadline_bin(task.deadline),
-        )
+        sum_over_pet(pet, bin_spec.deadline_bin(task.deadline), |rem| {
+            memo.ready_sum(base, chain_cdf, rem)
+        })
     }
 
     /// Walks the waiting queue head-to-tail computing each task's chance
@@ -517,7 +656,7 @@ impl MachineQueue {
         let mut out: Vec<Task> =
             self.running.take().map(|rt| rt.task).into_iter().collect();
         out.extend(self.waiting.drain(..));
-        self.chain.get_mut().valid = 1;
+        self.chain.get_mut().invalidate_from(0);
         out
     }
 
@@ -526,7 +665,7 @@ impl MachineQueue {
     /// as the from-scratch baseline for benches and the fuzz reference.
     pub fn force_full_rebuild(&mut self, pet_matrix: &PetMatrix) {
         let chain = self.chain.get_mut();
-        chain.valid = 1;
+        chain.invalidate_from(0);
         chain.repair(
             &self.waiting,
             self.machine.type_id,
@@ -587,9 +726,10 @@ impl MachineQueue {
         self.running = running.map(|(task, start)| RunningTask { task, start });
         self.waiting = waiting;
         // The chain cache is rebuilt lazily from the restored waiting
-        // list; slot 0 (δ(0)) is constant, so "valid = 1" discards
-        // everything else while keeping the arena allocations.
-        self.chain.get_mut().valid = 1;
+        // list; slot 0 (δ(0)) is constant, so invalidating from the
+        // head discards everything else while keeping the arena
+        // allocations.
+        self.chain.get_mut().invalidate_from(0);
         Ok(())
     }
 
@@ -617,32 +757,53 @@ impl MachineQueue {
 ///
 /// `base` is absolute bins, `chain_cdf` and `pet` relative bins. This is
 /// Eq. 2 without materialising the Eq. 1 convolution; exactness is
-/// property-tested against the explicit convolution.
+/// property-tested against the explicit convolution. It is the
+/// reference for [`MachineQueue::chance_if_appended`]'s memoised form,
+/// which reads the same inner sum through a table, and the form
+/// [`MachineQueue::plan_drops`] uses directly.
 pub fn chance_of_success(
     base: &Pmf,
     chain_cdf: &Cdf,
     pet: &Pmf,
     deadline_bin: Bin,
 ) -> f64 {
+    sum_over_pet(pet, deadline_bin, |rem| ready_sum(base, chain_cdf, rem))
+}
+
+/// Eq. 2's outer sum Σₓ pet(x) · R(deadline − x), clamped to [0, 1],
+/// with R supplied by the caller. [`chance_of_success`] and the
+/// queue's memo share it, so both add the same terms in the same order.
+fn sum_over_pet(
+    pet: &Pmf,
+    deadline_bin: Bin,
+    mut ready: impl FnMut(Bin) -> f64,
+) -> f64 {
     let mut total = 0.0;
     for (x, px) in pet.iter() {
         if px == 0.0 || x > deadline_bin {
             continue;
         }
-        let rem = deadline_bin - x;
-        let mut inner = 0.0;
-        for (a, pa) in base.iter() {
-            if a > rem {
-                break; // base bins ascend; later terms are all zero
-            }
-            if pa == 0.0 {
-                continue;
-            }
-            inner += pa * chain_cdf.at(rem - a);
-        }
-        total += px * inner;
+        total += px * ready(deadline_bin - x);
     }
     total.clamp(0.0, 1.0)
+}
+
+/// Eq. 2's inner sum R(`rem`) = Σₐ base(a) · chain_cdf(rem − a): the
+/// chance that the running task and the chain are both done by bin
+/// `rem`. The one definition both [`chance_of_success`] and the
+/// queue's memo evaluate, so the two agree bit for bit.
+fn ready_sum(base: &Pmf, chain_cdf: &Cdf, rem: Bin) -> f64 {
+    let mut inner = 0.0;
+    for (a, pa) in base.iter() {
+        if a > rem {
+            break; // base bins ascend; later terms are all zero
+        }
+        if pa == 0.0 {
+            continue;
+        }
+        inner += pa * chain_cdf.at(rem - a);
+    }
+    inner
 }
 
 #[cfg(test)]

@@ -8,14 +8,16 @@
 //! chains and estimates always equal those of a freshly rebuilt queue
 //! with identical contents — the chains **bit-for-bit**, because the
 //! incremental repair performs the exact same convolve-then-truncate
-//! operations a from-scratch rebuild does.
+//! operations a from-scratch rebuild does. A further property pins the
+//! memoised Eq. 2 query (`chance_if_appended`) to the free
+//! `chance_of_success` bit for bit.
 
 use proptest::prelude::*;
 use taskprune_model::{
     BinSpec, Cluster, MachineId, PetMatrix, SimTime, Task, TaskId, TaskTypeId,
 };
-use taskprune_prob::Pmf;
-use taskprune_sim::queue::MachineQueue;
+use taskprune_prob::{Bin, Pmf};
+use taskprune_sim::queue::{chance_of_success, MachineQueue};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -128,8 +130,99 @@ fn apply_op(
     }
 }
 
+/// Checks that every chance `q` reports at `now` equals the free
+/// [`chance_of_success`] over `q`'s base and tail chain, bit for bit,
+/// for every task type and for deadline bins that put the PET wholly
+/// below the memo's table, across it, and past its last slot.
+fn assert_memo_exact(
+    q: &MachineQueue,
+    pet: &PetMatrix,
+    now: SimTime,
+) -> Result<(), TestCaseError> {
+    let spec = pet.bin_spec();
+    let base = q.base_pmf(spec, pet, now);
+    let (_, cdfs) = q.chain_snapshot(pet);
+    let chain_cdf = &cdfs[q.waiting_len()];
+    // The widest PET in `pet_matrix` ends at bin 9.
+    let top = base.max_bin() + chain_cdf.max_bin() + 12;
+    let mut bins: Vec<Bin> = (base.min_bin().saturating_sub(3)..=top).collect();
+    bins.extend([0, top + 1_000]);
+    for type_id in 0..3u16 {
+        let task_pet = pet.pet(q.machine().type_id, TaskTypeId(type_id));
+        for &d in &bins {
+            // The deadline tick whose deadline bin is `d`.
+            let deadline = spec.bin_start(d + 1);
+            let probe = Task::new(u64::MAX, TaskTypeId(type_id), now, deadline);
+            let memo = q.chance_if_appended(spec, pet, now, &probe);
+            let reference = chance_of_success(&base, chain_cdf, task_pet, d);
+            prop_assert_eq!(
+                memo.to_bits(),
+                reference.to_bits(),
+                "type {} deadline bin {}: memo {} vs free {}",
+                type_id,
+                d,
+                memo,
+                reference
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The memoised chance query is exact after every operation, at a
+    /// later instant of the same bin (a memo hit) and in the next bin
+    /// (a refill) with no mutation in between, and on a clone that was
+    /// queried before its original was mutated.
+    #[test]
+    fn memoised_chance_matches_the_free_function(
+        ops in prop::collection::vec(arb_op(), 1..40)
+    ) {
+        let pet = pet_matrix();
+        let width = pet.bin_spec().width();
+        let cluster = Cluster::one_per_type(1);
+        let mut q = MachineQueue::new(
+            cluster.machine(MachineId(0)),
+            6,
+            256,
+        );
+        let mut next_id = 0u64;
+        let mut now = SimTime(0);
+        for op in ops {
+            let before = now;
+            let copy = q.clone();
+            assert_memo_exact(&copy, &pet, before)?;
+            apply_op(&mut q, op, &mut next_id, &mut now);
+            assert_memo_exact(&copy, &pet, before)?;
+
+            assert_memo_exact(&q, &pet, now)?;
+            let bin_end = SimTime(now.ticks() - now.ticks() % width + width - 1);
+            assert_memo_exact(&q, &pet, bin_end)?;
+            assert_memo_exact(&q, &pet, SimTime(bin_end.ticks() + 1))?;
+            assert_memo_exact(&q, &pet, now)?;
+
+            // A change of the running task at the same instant keeps
+            // the memo's key, so only dropping the memo keeps the next
+            // query exact. (`q`'s memo is filled at `now` here, and each
+            // clone carries it.)
+            if q.is_busy() {
+                let mut done = q.clone();
+                done.complete_running();
+                assert_memo_exact(&done, &pet, now)?;
+                let mut cancelled = q.clone();
+                cancelled.cancel_running();
+                assert_memo_exact(&cancelled, &pet, now)?;
+            } else {
+                let mut started = q.clone();
+                let deadline = SimTime(now.ticks() + 10_000);
+                let task = Task::new(u64::MAX - 1, TaskTypeId(2), now, deadline);
+                started.set_running(task, now);
+                assert_memo_exact(&started, &pet, now)?;
+            }
+        }
+    }
 
     #[test]
     fn incremental_estimates_match_rebuilt_queue(
