@@ -992,9 +992,10 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
     /// survivors dispatch, repeat until no progress is possible.
     ///
     /// The candidate list is built once per event, in arrival order, and
-    /// shrinks in place: a task leaves it the moment it is taken
-    /// (assigned or deferred). So "in `candidates`" is exactly "still in
-    /// the arrival queue and not deferred this event", the test each
+    /// shrinks in place: a task leaves it the moment it is assigned, and
+    /// a deferral removes every task with the deferred id (tasks may
+    /// share an id). So "in `candidates`" is exactly "still in the
+    /// arrival queue and its id not deferred this event", the test each
     /// proposal must pass; a duplicate, an unknown id or a task deferred
     /// in an earlier round fails it, whatever the mapper proposes.
     fn batch_mapping_loop(&mut self) {
@@ -1035,7 +1036,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                 else {
                     continue; // taken already, or never a candidate
                 };
-                let task = candidates.remove(ci);
+                let task = candidates[ci];
                 let chance = {
                     let view =
                         SystemView::new(self.now, &self.queues, self.pet);
@@ -1060,6 +1061,7 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     None => chance,
                 };
                 if self.pruner.should_defer(&task, chance) {
+                    candidates.retain(|t| t.id != task.id);
                     self.stats.deferrals += 1;
                     self.decisions
                         .push(Decision::DeferToBatch { task: task.id });
@@ -1069,6 +1071,10 @@ impl<'a, S: Sink> SchedulerCore<'a, S> {
                     );
                     progressed = true; // candidate set shrank
                 } else {
+                    candidates.remove(ci);
+                    // The first task with this id in the arrival queue is
+                    // `task`: the queue's tasks with an undeferred id are
+                    // all still candidates, in the same order.
                     let pos = self
                         .arrival_queue
                         .iter()
@@ -1392,6 +1398,74 @@ mod tests {
         // both queues were full after it, so there was no third.
         assert_eq!(*seen.lock().unwrap(), vec![vec![0, 1, 2, 3], vec![2, 3]]);
         assert_eq!(c.pending_batch_len(), 2);
+        assert_eq!(c.stats.deferrals, 1);
+    }
+
+    #[test]
+    fn deferring_an_id_defers_every_task_that_shares_it() {
+        // Two machines with one waiting slot each; task ids 0, 1, 1, 2
+        // pending, the two id-1 tasks with different deadlines.
+        let pet = PetMatrix::new(
+            BinSpec::new(100),
+            2,
+            1,
+            vec![Pmf::point_mass(2), Pmf::point_mass(2)],
+        );
+        let cluster = Cluster::one_per_type(2);
+        let to = |task: u64, machine: u16| Assignment {
+            task: TaskId(task),
+            machine: MachineId(machine),
+        };
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mapper = Scripted {
+            arm_at: 4,
+            armed: false,
+            rounds: [
+                vec![to(1, 0)], // the first id-1 task, deferred
+                vec![
+                    to(1, 0), // the second id-1 task: deferred with the first
+                    to(2, 1), // assigned
+                ],
+            ]
+            .into(),
+            seen: seen.clone(),
+        };
+        let mut c = SchedulerBuilder::new(&cluster, &pet)
+            .config(SimConfig {
+                queue_capacity: 1,
+                ..SimConfig::batch(1)
+            })
+            .strategy(MappingStrategy::Batch(Box::new(mapper)))
+            .pruner(DeferIds(vec![TaskId(1)]))
+            .build_core()
+            .expect("valid configuration");
+        for (id, deadline) in
+            [(0, 100_000), (1, 100_000), (1, 200_000), (2, 100_000)]
+        {
+            c.push_arrival(Task::new(
+                id,
+                TaskTypeId(0),
+                SimTime(0),
+                SimTime(deadline),
+            ));
+        }
+        assert_eq!(
+            c.drain_decisions(),
+            &[
+                Decision::DeferToBatch { task: TaskId(1) },
+                Decision::Assign {
+                    task: TaskId(2),
+                    machine: MachineId(1)
+                },
+            ]
+        );
+        // Machine 0 stayed free, so a third round saw the one task left.
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![vec![0, 1, 1, 2], vec![0, 2], vec![0]]
+        );
+        // Both id-1 tasks still wait in the batch queue.
+        assert_eq!(c.pending_batch_len(), 3);
         assert_eq!(c.stats.deferrals, 1);
     }
 

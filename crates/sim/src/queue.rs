@@ -101,7 +101,7 @@ pub struct RunningTask {
 /// The lazily-repaired prefix-chain cache plus the per-queue convolution
 /// arena. Interior-mutable so estimate queries on `&MachineQueue` can
 /// repair the chain in place.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ChainCache {
     /// Slot `i` = PET(w₀) ∗ … ∗ PET(w_{i−1}); slot 0 = δ(0). Physical
     /// length may exceed the live chain: slots past the current queue
@@ -130,32 +130,6 @@ struct ChainCache {
     base: Pmf,
     /// Eq. 2's ready-time sum R at the queue tail (module docs).
     memo: ReadyMemo,
-}
-
-/// Copies only what a query reads: the live chain prefix, the base and
-/// the memo. Spare chain slots, the walk buffers and the FFT scratch
-/// are allocations, not values, so the clone starts them fresh — this
-/// is what makes the gateway's view-table refresh (a clone of every
-/// shard's queues) cheap.
-impl Clone for ChainCache {
-    fn clone(&self) -> Self {
-        // Not `..Self::new()`: that would allocate a chain and a base
-        // only to drop them, on every queue of every view refresh.
-        let zero = Pmf::point_mass(0);
-        Self {
-            pmfs: self.pmfs[..self.valid].to_vec(),
-            cdfs: self.cdfs[..self.valid].to_vec(),
-            valid: self.valid,
-            scratch: ConvScratch::new(),
-            walk_pmf: zero.clone(),
-            walk_next: zero.clone(),
-            walk_cdf: zero.to_cdf(),
-            walk_base: zero,
-            walk_active: false,
-            base: self.base.clone(),
-            memo: self.memo.clone(),
-        }
-    }
 }
 
 impl ChainCache {
@@ -222,7 +196,7 @@ impl ChainCache {
 /// one queue state and `now` bin (module docs). Slot `k` holds
 /// R(`lo` + k) once its stamp equals `epoch`; the last slot also stands
 /// for every `r` past it, and R is 0 below `lo`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct ReadyMemo {
     /// The `now` bin the table (and `ChainCache::base`) was filled
     /// for; `None` once a mutation dropped it.
@@ -236,19 +210,6 @@ struct ReadyMemo {
     len: usize,
     /// `(stamp, R)` per table bin.
     slots: Vec<(u64, f64)>,
-}
-
-impl Clone for ReadyMemo {
-    fn clone(&self) -> Self {
-        let live = if self.key.is_some() { self.len } else { 0 };
-        Self {
-            key: self.key,
-            epoch: self.epoch,
-            lo: self.lo,
-            len: live,
-            slots: self.slots[..live].to_vec(),
-        }
-    }
 }
 
 impl ReadyMemo {
